@@ -1359,8 +1359,10 @@ pub fn optimizer_experiment(cfg: &BenchConfig) -> Result<FigureReport> {
 /// group commit (`dur_batched_10ms`), and buffered (`dur_async`) — on
 /// every engine, against a real file sink so strict mode pays real syncs.
 ///
-/// Each cell replays the full update archive with write-ahead logging and
-/// the default checkpoint cadence, closes the log, then rebuilds a fresh
+/// Each cell replays the full update archive through a single-threaded
+/// [`bitempo_txn::TxnManager`] — the served commit path, one commit per
+/// archive transaction — with a checkpoint every [`CHECKPOINT_EVERY`]
+/// commits, closes the manager, then rebuilds a fresh
 /// engine from the written bytes plus the captured checkpoints and proves
 /// the recovered state is byte-identical to the live one before any
 /// timing is reported — a cell that cannot recover is an error cell, not
@@ -1408,24 +1410,28 @@ pub fn durability(cfg: &BenchConfig) -> Result<FigureReport> {
         report.add(rcv);
     }
     report.note(format!(
-        "Expected shape: dur_strict pays one fsync per commit and trails by orders of \
-         magnitude on spinning metal (less on fast NVMe); dur_batched_10ms amortizes the \
-         sync across the group and sits near dur_async, which never syncs inside the \
-         timed region (its single barrier at close is excluded — that is the mode's \
-         contract). Recovery time is checkpoint-bounded (cadence: every {CHECKPOINT_EVERY} \
-         commits), so it is flat across modes.",
+        "Expected shape: each archive transaction is one commit on the served path, \
+         waited for durably. dur_strict pays one fsync per commit and trails dur_async by \
+         orders of magnitude on spinning metal (less on fast NVMe). A lone committer under \
+         dur_batched_10ms waits for its flusher tick on every commit, so it trails too: \
+         group commit only pays off with concurrent committers (see `mvcc`). dur_async \
+         never syncs inside the timed region (its single barrier at close is excluded — \
+         that is the mode's contract). Recovery time is checkpoint-bounded (cadence: every \
+         {CHECKPOINT_EVERY} commits), so it is flat across modes.",
     ));
     report.faults = faults;
     Ok(report)
 }
 
 /// Checkpoint cadence of the `durability` experiment (commits per
-/// checkpoint) — [`bitempo_wal::DurableOptions`]'s default.
+/// checkpoint).
 const CHECKPOINT_EVERY: u64 = 64;
 
-/// One `durability` cell: log the archive replay through a real temp file
-/// under `mode`, recover from the written bytes, verify equivalence, and
-/// return `(commit throughput in txn/s, recovery wall time in ms)`.
+/// One `durability` cell: replay the archive through a
+/// [`bitempo_txn::TxnManager`]
+/// logging to a real temp file under `mode`, recover from the written
+/// bytes, verify equivalence, and return `(commit throughput in txn/s,
+/// recovery wall time in ms)`.
 fn durability_cell(
     kind: SystemKind,
     mode: DurabilityMode,
@@ -1451,33 +1457,29 @@ fn durability_cell_at(
     archive: &Archive,
     tuning: &TuningConfig,
 ) -> Result<(f64, f64)> {
-    use bitempo_wal::{canonical_state, Checkpoint, TxnWal};
+    use bitempo_wal::{canonical_state, TxnWal};
     let file = std::fs::File::create(path)?;
-    let mut log = TxnWal::create(Box::new(file), mode)?;
+    let log = TxnWal::create(Box::new(file), mode)?;
     let mut engine = bitempo_engine::build_engine(kind);
     let ids = bitempo_histgen::load_initial(engine.as_mut(), data)?;
-    let mut checkpoints = vec![Checkpoint::capture(engine.as_mut(), &ids, 0)?.encode()];
-    // Timed region: exactly the commit path — append, apply, commit, plus
-    // the checkpoint cadence (identical across modes, so mode deltas are
-    // pure durability cost). The closing barrier stays outside the clock:
-    // dur_async's contract is that acknowledged commits may still be in
-    // flight.
+    let mgr = bitempo_txn::TxnManager::new(engine, ids, Some(log))?;
+    // Timed region: exactly the served commit path — buffer, validate,
+    // apply, log, publish, durability wait — plus the checkpoint cadence
+    // (identical across modes, so mode deltas are pure durability cost).
+    // The closing barrier stays outside the clock: dur_async's contract
+    // is that acknowledged commits may still be in flight.
     let t0 = Instant::now();
-    let mut commits = 0u64;
-    for txn in &archive.transactions {
-        let payload = bitempo_histgen::encode_txn(txn)?;
-        log.append(&payload)?;
-        for op in &txn.ops {
-            bitempo_histgen::apply_op(engine.as_mut(), &ids, op)?;
-        }
-        engine.commit();
-        commits += 1;
-        if commits.is_multiple_of(CHECKPOINT_EVERY) {
-            checkpoints.push(Checkpoint::capture(engine.as_mut(), &ids, commits)?.encode());
-        }
-    }
+    let run = bitempo_txn::replay_logged(&mgr, &archive.transactions, CHECKPOINT_EVERY)?;
     let commit_secs = t0.elapsed().as_secs_f64();
-    let durable = log.close()?;
+    let commits = run.commits;
+    if let Some(why) = run.crashed {
+        return Err(Error::Invalid(format!(
+            "{kind} {}: commit {} failed: {why}",
+            mode.label(),
+            commits + 1
+        )));
+    }
+    let (engine, ids, durable) = mgr.close()?;
     if durable != commits {
         return Err(Error::Invalid(format!(
             "{kind} {}: close acknowledged {durable} of {commits} commits",
@@ -1486,7 +1488,7 @@ fn durability_cell_at(
     }
     let bytes = std::fs::read(path)?;
     let t1 = Instant::now();
-    let rec = bitempo_wal::recover(kind, &bytes, &checkpoints, tuning)?;
+    let rec = bitempo_wal::recover(kind, &bytes, &run.checkpoints, tuning)?;
     let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
     if rec.report.commits != commits {
         return Err(Error::Invalid(format!(

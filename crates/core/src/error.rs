@@ -56,8 +56,8 @@ pub enum Error {
     /// committed after this one's snapshot was pinned wrote an overlapping
     /// key range. The transaction's buffered writes were discarded; the
     /// caller decides whether to re-run it against a fresh snapshot.
-    /// Deliberately *not* [`Error::is_retryable`]: blind op-level retry
-    /// (the loader's policy) would re-drive the same stale writes.
+    /// Deliberately *not* [`Error::is_retryable`]: a blind op-level retry
+    /// would re-drive the same stale writes.
     Conflict(String),
     /// A retryable I/O condition (interrupted, timed out, would block).
     Transient(String),

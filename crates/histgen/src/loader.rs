@@ -16,9 +16,8 @@
 use crate::archive::Archive;
 use crate::ops::{Op, ScenarioKind};
 use crate::state::GenDb;
-use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableId, TemporalClass, Value};
+use bitempo_core::{Error, Result, SysTime, TableId, Value};
 use bitempo_dbgen::TpchData;
-use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_engine::BitemporalEngine;
 use std::path::Path;
 use std::time::Instant;
@@ -32,52 +31,6 @@ pub struct LoadReport {
     pub total_nanos: u64,
     /// System time after the replay.
     pub version: SysTime,
-    /// `(batch index, error)` for every batch that failed and was skipped
-    /// under a resilient [`ReplayPolicy`]. Empty under strict replay.
-    pub failed: Vec<(usize, Error)>,
-    /// Op-level accounting: exactly how many ops were applied, skipped, or
-    /// saved by a retry. Durability recovery asserts `skipped == 0` on this
-    /// — a count the batch-level `failed` list used to swallow.
-    pub ops: ReplayReport,
-}
-
-/// Op-level accounting for one replay. `applied + skipped` always equals
-/// the archive's total op count, so nothing can go missing silently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Ops applied successfully (including those that needed a retry).
-    pub applied: u64,
-    /// Ops *not* applied: the failing op of each failed batch plus the
-    /// remainder of that batch, which the batch abort skipped.
-    pub skipped: u64,
-    /// Ops that failed with a retryable error and succeeded on the retry
-    /// (a subset of `applied`).
-    pub retried: u64,
-}
-
-/// How [`replay_resilient`] reacts to op failures mid-replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayPolicy {
-    /// Abort the whole replay once more than this many batches have failed.
-    /// `0` aborts on the first failure (strict, the [`replay`] behaviour).
-    pub max_failed_batches: usize,
-}
-
-impl ReplayPolicy {
-    /// Abort on the first failure — the classic all-or-nothing replay.
-    pub fn strict() -> ReplayPolicy {
-        ReplayPolicy {
-            max_failed_batches: 0,
-        }
-    }
-
-    /// Record up to `n` failed batches (skipping the remainder of each) and
-    /// keep replaying; the failures are reported in [`LoadReport::failed`].
-    pub fn resilient(n: usize) -> ReplayPolicy {
-        ReplayPolicy {
-            max_failed_batches: n,
-        }
-    }
 }
 
 impl LoadReport {
@@ -126,88 +79,57 @@ pub fn load_initial(engine: &mut dyn BitemporalEngine, data: &TpchData) -> Resul
     Ok(ids)
 }
 
+/// Resolves an op's table index against the load-order `ids`. The index
+/// comes from archive or WAL bytes, so it is range-checked rather than
+/// trusted: a checksum-valid record naming a table that does not exist is
+/// an error, not a panic.
+pub fn table_id(ids: &[TableId], table: u8) -> Result<TableId> {
+    ids.get(usize::from(table)).copied().ok_or_else(|| {
+        Error::Archive(format!(
+            "op names table index {table}, but only {} tables exist",
+            ids.len()
+        ))
+    })
+}
+
 /// Applies one archive op to an open engine transaction. Public because
 /// the durability WAL replays through exactly this dispatch — recovery and
-/// the original load must interpret an op identically.
+/// the original load must interpret an op identically. Table indices and
+/// update columns are range-checked, since both are decoded bytes.
 pub fn apply_op(engine: &mut dyn BitemporalEngine, ids: &[TableId], op: &Op) -> Result<()> {
     match op {
-        Op::Insert { table, row, app } => engine.insert(ids[*table as usize], row.clone(), *app),
+        Op::Insert { table, row, app } => engine.insert(table_id(ids, *table)?, row.clone(), *app),
         Op::Update {
             table,
             key,
             updates,
             portion,
         } => {
-            let assignments: Vec<(usize, Value)> = updates
-                .iter()
-                .map(|(c, v)| (*c as usize, v.clone()))
-                .collect();
-            engine
-                .update(ids[*table as usize], key, &assignments, *portion)
-                .map(|_| ())
+            let id = table_id(ids, *table)?;
+            let arity = engine.table_def(id).schema.arity();
+            let mut assignments: Vec<(usize, Value)> = Vec::with_capacity(updates.len());
+            for (c, v) in updates {
+                let col = usize::from(*c);
+                if col >= arity {
+                    return Err(Error::Archive(format!(
+                        "update column {col} out of range for table index {table} (arity {arity})"
+                    )));
+                }
+                assignments.push((col, v.clone()));
+            }
+            engine.update(id, key, &assignments, *portion).map(|_| ())
         }
         Op::Delete {
             table,
             key,
             portion,
         } => engine
-            .delete(ids[*table as usize], key, *portion)
+            .delete(table_id(ids, *table)?, key, *portion)
             .map(|_| ()),
         Op::OverwriteApp { table, key, period } => engine
-            .overwrite_app_period(ids[*table as usize], key, *period)
+            .overwrite_app_period(table_id(ids, *table)?, key, *period)
             .map(|_| ()),
     }
-}
-
-/// True if a *pending* version — one created by the currently open
-/// transaction — already carries exactly `row`'s values and application
-/// period, i.e. a failed insert's first attempt actually landed in the
-/// engine before the error surfaced.
-///
-/// Sequenced ops are idempotent when re-applied inside the same open
-/// transaction (re-closing an open version leaves an empty `[p, p)` system
-/// period the engines discard, and the rewritten portions are absolute),
-/// but a bare insert is not: re-driving one after a partial apply would
-/// duplicate the version. The retry path consults this probe first.
-///
-/// The probe attributes a match to the open transaction by its system
-/// start: only a version whose system period opens at the engine's pending
-/// timestamp was created inside it. An identical version committed by an
-/// *earlier* transaction opens strictly before that and must not satisfy
-/// the probe — engines insert duplicates unconditionally, so such a false
-/// positive would skip the retry and silently drop the insert. Tables
-/// without system time offer no such attribution; there the probe stays
-/// conservative and reports "not applied" (the generated scenarios never
-/// insert into non-temporal tables, and a visible duplicate is the lesser
-/// risk than a silent drop).
-fn insert_effect_present(
-    engine: &dyn BitemporalEngine,
-    id: TableId,
-    row: &Row,
-    app: Option<AppPeriod>,
-) -> bool {
-    let def = engine.table_def(id);
-    if !def.has_system_time() {
-        return false;
-    }
-    let key = Key::from_row(row, &def.key);
-    let value_arity = def.schema.arity();
-    let want = app.unwrap_or(AppPeriod::ALL);
-    let bitemporal = def.temporal == TemporalClass::Bitemporal;
-    let sys_col = value_arity + if bitemporal { 2 } else { 0 };
-    let pending = Value::SysTime(engine.now().next());
-    // Pending (uncommitted) versions have open system periods, so a plain
-    // current-snapshot lookup sees the eventual effect of this transaction.
-    let Ok(out) = engine.lookup_key(id, &key, &SysSpec::Current, &AppSpec::All) else {
-        return false;
-    };
-    out.rows.iter().any(|r| {
-        let values_match = (0..value_arity).all(|c| r.get(c) == row.get(c));
-        let app_match = !bitemporal
-            || (r.get(value_arity) == &Value::Date(want.start)
-                && r.get(value_arity + 1) == &Value::Date(want.end));
-        values_match && app_match && r.get(sys_col) == &pending
-    })
 }
 
 /// Replays the archive, committing every `batch_size` scenarios. Strict:
@@ -218,95 +140,29 @@ pub fn replay(
     archive: &Archive,
     batch_size: usize,
 ) -> Result<LoadReport> {
-    replay_resilient(engine, ids, archive, batch_size, ReplayPolicy::strict())
-}
-
-/// Replays the archive under a failure policy. A failing op aborts the
-/// *remainder of its batch* (already-applied ops of the batch stay in the
-/// open transaction and are committed — the engines have no rollback, so
-/// this is the honest recovery unit); subsequent batches continue as long
-/// as the policy's failure budget holds. Every skipped batch is recorded in
-/// [`LoadReport::failed`].
-pub fn replay_resilient(
-    engine: &mut dyn BitemporalEngine,
-    ids: &[TableId],
-    archive: &Archive,
-    batch_size: usize,
-    policy: ReplayPolicy,
-) -> Result<LoadReport> {
     // tblint: allow(TB001) load-latency percentiles are the experiment's measurement (Fig 16)
     let started = Instant::now();
     let mut timings = Vec::with_capacity(archive.transactions.len());
-    let mut failed: Vec<(usize, Error)> = Vec::new();
-    let mut ops = ReplayReport::default();
-    for (batch_idx, batch) in archive.transactions.chunks(batch_size.max(1)).enumerate() {
+    for batch in archive.transactions.chunks(batch_size.max(1)) {
         let kind = batch[0]
             .scenarios
             .first()
             .copied()
             .unwrap_or(ScenarioKind::NewOrderExistingCustomer);
-        let batch_ops: u64 = batch.iter().map(|t| t.ops.len() as u64).sum();
         // tblint: allow(TB001) per-batch wall-clock is the measured quantity here
         let t0 = Instant::now();
-        let mut batch_err: Option<Error> = None;
-        let mut applied_in_batch = 0u64;
-        'ops: for txn in batch {
+        for txn in batch {
             for op in &txn.ops {
-                let outcome = match apply_op(engine, ids, op) {
-                    // One retry for transient failures: an op that succeeds
-                    // on the second attempt was never lost, and the report
-                    // says so instead of folding it into a skipped batch.
-                    // The retry must be idempotent: a transient error can
-                    // surface *after* the op mutated the engine (e.g. a
-                    // contained worker panic mid-bookkeeping), and blindly
-                    // re-driving an insert would then duplicate a version.
-                    Err(e) if e.is_retryable() => {
-                        let already_applied = match op {
-                            Op::Insert { table, row, app } => {
-                                insert_effect_present(engine, ids[*table as usize], row, *app)
-                            }
-                            // Sequenced ops re-apply idempotently (see
-                            // `insert_effect_present` for the argument).
-                            _ => false,
-                        };
-                        let second = if already_applied {
-                            Ok(())
-                        } else {
-                            apply_op(engine, ids, op)
-                        };
-                        if second.is_ok() {
-                            ops.retried += 1;
-                        }
-                        second
-                    }
-                    other => other,
-                };
-                match outcome {
-                    Ok(()) => applied_in_batch += 1,
-                    Err(e) => {
-                        batch_err = Some(e);
-                        break 'ops;
-                    }
-                }
+                apply_op(engine, ids, op)?;
             }
         }
         engine.commit();
         timings.push((kind, t0.elapsed().as_nanos() as u64));
-        ops.applied += applied_in_batch;
-        if let Some(e) = batch_err {
-            ops.skipped += batch_ops - applied_in_batch;
-            if failed.len() >= policy.max_failed_batches {
-                return Err(e);
-            }
-            failed.push((batch_idx, e));
-        }
     }
     Ok(LoadReport {
         timings,
         total_nanos: started.elapsed().as_nanos() as u64,
         version: engine.now(),
-        failed,
-        ops,
     })
 }
 
@@ -490,8 +346,6 @@ mod tests {
                 .collect(),
             total_nanos: 0,
             version: SysTime(0),
-            failed: Vec::new(),
-            ops: ReplayReport::default(),
         };
         assert_eq!(report.median_nanos(None), Some(5_100));
         assert_eq!(report.p97_nanos(None), Some(9_700));
@@ -499,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_replay_skips_failed_batches() {
+    fn strict_replay_aborts_on_a_failed_op() {
         let (data, history) = tiny_inputs();
         // Poison a middle transaction with an update to a nonexistent key.
         let mut archive = history.archive.clone();
@@ -515,280 +369,12 @@ mod tests {
                 ),
             },
         );
-
-        // Strict replay aborts on the poisoned batch.
         let mut engine = build_engine(SystemKind::A);
         let ids = load_initial(engine.as_mut(), &data).unwrap();
-        assert!(replay(engine.as_mut(), &ids, &archive, 1).is_err());
-
-        // A resilient policy records the failure and finishes the replay.
-        let mut engine = build_engine(SystemKind::A);
-        let ids = load_initial(engine.as_mut(), &data).unwrap();
-        let report = replay_resilient(
-            engine.as_mut(),
-            &ids,
-            &archive,
-            1,
-            ReplayPolicy::resilient(4),
-        )
-        .unwrap();
-        assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.failed[0].0, mid);
-        assert!(matches!(report.failed[0].1, Error::KeyNotFound(_)));
-        assert_eq!(report.timings.len(), archive.transactions.len());
-        // Op-level accounting: nothing goes missing silently. The poisoned
-        // op plus the rest of its batch are the skipped count, and
-        // applied + skipped covers every op in the archive.
-        let total_ops: u64 = archive
-            .transactions
-            .iter()
-            .map(|t| t.ops.len() as u64)
-            .sum();
-        assert!(report.ops.skipped > 0);
-        assert_eq!(report.ops.applied + report.ops.skipped, total_ops);
-        assert_eq!(report.ops.retried, 0, "KeyNotFound is not retryable");
-
-        // A zero-budget policy behaves exactly like strict replay.
-        let mut engine = build_engine(SystemKind::A);
-        let ids = load_initial(engine.as_mut(), &data).unwrap();
-        assert!(
-            replay_resilient(engine.as_mut(), &ids, &archive, 1, ReplayPolicy::strict()).is_err()
-        );
-    }
-
-    /// When the transient fault fires relative to the insert's effect.
-    #[derive(Clone, Copy, PartialEq)]
-    enum FaultPhase {
-        /// The insert fully applies, then the error surfaces (e.g. a
-        /// contained panic in post-apply bookkeeping). The regression
-        /// target: a blind retry here double-applies.
-        AfterApply,
-        /// The error surfaces before anything is mutated; a retry is the
-        /// correct and only recovery.
-        BeforeApply,
-    }
-
-    /// Delegating wrapper that injects one transient failure on the n-th
-    /// insert, either before or after the inner engine applied it.
-    struct FlakyEngine {
-        inner: Box<dyn BitemporalEngine>,
-        phase: FaultPhase,
-        /// Fire on this (1-based) insert call; 0 = spent.
-        fuse: usize,
-        calls: usize,
-    }
-
-    impl BitemporalEngine for FlakyEngine {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn architecture(&self) -> &'static str {
-            self.inner.architecture()
-        }
-        fn create_table(&mut self, def: bitempo_core::TableDef) -> Result<TableId> {
-            self.inner.create_table(def)
-        }
-        fn resolve(&self, name: &str) -> Result<TableId> {
-            self.inner.resolve(name)
-        }
-        fn table_names(&self) -> Vec<String> {
-            self.inner.table_names()
-        }
-        fn table_def(&self, table: TableId) -> &bitempo_core::TableDef {
-            self.inner.table_def(table)
-        }
-        fn apply_tuning(&mut self, tuning: &bitempo_engine::TuningConfig) -> Result<()> {
-            self.inner.apply_tuning(tuning)
-        }
-        fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-            self.calls += 1;
-            if self.calls == self.fuse {
-                self.fuse = 0;
-                if self.phase == FaultPhase::AfterApply {
-                    self.inner.insert(table, row, app)?;
-                }
-                return Err(Error::Transient("fault after partial apply".into()));
-            }
-            self.inner.insert(table, row, app)
-        }
-        fn update(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            updates: &[(usize, Value)],
-            portion: Option<AppPeriod>,
-        ) -> Result<usize> {
-            self.inner.update(table, key, updates, portion)
-        }
-        fn delete(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            portion: Option<AppPeriod>,
-        ) -> Result<usize> {
-            self.inner.delete(table, key, portion)
-        }
-        fn overwrite_app_period(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            period: AppPeriod,
-        ) -> Result<usize> {
-            self.inner.overwrite_app_period(table, key, period)
-        }
-        fn commit(&mut self) -> SysTime {
-            self.inner.commit()
-        }
-        fn now(&self) -> SysTime {
-            self.inner.now()
-        }
-        fn scan(
-            &self,
-            table: TableId,
-            sys: &SysSpec,
-            app: &AppSpec,
-            preds: &[bitempo_engine::api::ColRange],
-        ) -> Result<bitempo_engine::api::ScanOutput> {
-            self.inner.scan(table, sys, app, preds)
-        }
-        fn lookup_key(
-            &self,
-            table: TableId,
-            key: &Key,
-            sys: &SysSpec,
-            app: &AppSpec,
-        ) -> Result<bitempo_engine::api::ScanOutput> {
-            self.inner.lookup_key(table, key, sys, app)
-        }
-        fn stats(&self, table: TableId) -> bitempo_engine::api::TableStats {
-            self.inner.stats(table)
-        }
-        fn checkpoint(&mut self) {
-            self.inner.checkpoint();
-        }
-        fn snapshot_versions(
-            &self,
-            table: TableId,
-        ) -> Result<Vec<bitempo_engine::version::Version>> {
-            self.inner.snapshot_versions(table)
-        }
-        fn restore(
-            &mut self,
-            table: TableId,
-            versions: Vec<bitempo_engine::version::Version>,
-            now: SysTime,
-        ) -> Result<()> {
-            self.inner.restore(table, versions, now)
-        }
-    }
-
-    /// The satellite regression: a transient fault that surfaces *after*
-    /// the insert already applied must not be re-driven into the engine —
-    /// the retried replay has to converge on the clean replay's exact
-    /// state, with the op counted as retried, not duplicated or skipped.
-    #[test]
-    fn retry_after_partial_apply_does_not_double_apply() {
-        let (data, history) = tiny_inputs();
-        let mut clean = build_engine(SystemKind::A);
-        let clean_ids = load_initial(clean.as_mut(), &data).unwrap();
-        replay(clean.as_mut(), &clean_ids, &history.archive, 1).unwrap();
-
-        for phase in [FaultPhase::AfterApply, FaultPhase::BeforeApply] {
-            let mut inner = build_engine(SystemKind::A);
-            let ids = load_initial(inner.as_mut(), &data).unwrap();
-            let mut flaky = FlakyEngine {
-                inner,
-                phase,
-                // First insert *during the replay* (the initial load ran
-                // against the unwrapped engine).
-                fuse: 1,
-                calls: 0,
-            };
-            let report = replay_resilient(
-                &mut flaky,
-                &ids,
-                &history.archive,
-                1,
-                ReplayPolicy::resilient(0),
-            )
-            .unwrap();
-            assert_eq!(report.ops.retried, 1, "the fault was absorbed");
-            assert_eq!(report.ops.skipped, 0);
-            assert!(report.failed.is_empty());
-
-            for (&a, &b) in clean_ids.iter().zip(&ids) {
-                let mut want = clean
-                    .scan(a, &SysSpec::All, &AppSpec::All, &[])
-                    .unwrap()
-                    .rows;
-                let mut got = flaky
-                    .inner
-                    .scan(b, &SysSpec::All, &AppSpec::All, &[])
-                    .unwrap()
-                    .rows;
-                want.sort();
-                got.sort();
-                assert_eq!(
-                    got, want,
-                    "replay with an injected fault must converge on the clean state"
-                );
-            }
-        }
-    }
-
-    /// The probe must attribute effects to the *open* transaction: an
-    /// identical version committed by an earlier transaction must not
-    /// satisfy it. Engines insert duplicates unconditionally, so a false
-    /// positive here would skip the retry and silently drop the insert
-    /// when the fault fired *before* anything applied.
-    #[test]
-    fn retry_probe_ignores_identical_committed_versions() {
-        use crate::ops::Transaction;
-        use bitempo_engine::testutil::{bitemp_table, simple_row};
-
-        // Two transactions insert byte-identical rows (same key, values,
-        // application period); the transient fault fires on the second.
-        let duplicate = || Transaction {
-            scenarios: Vec::new(),
-            ops: vec![Op::Insert {
-                table: 0,
-                row: simple_row(1, 10),
-                app: None,
-            }],
-        };
-        let archive = Archive {
-            dbgen_seed: 0,
-            hist_seed: 0,
-            transactions: vec![duplicate(), duplicate()],
-        };
-
-        for phase in [FaultPhase::BeforeApply, FaultPhase::AfterApply] {
-            let mut inner = build_engine(SystemKind::A);
-            let t = inner.create_table(bitemp_table("t")).unwrap();
-            let ids = vec![t];
-            let mut flaky = FlakyEngine {
-                inner,
-                phase,
-                fuse: 2, // the second transaction's insert
-                calls: 0,
-            };
-            let report =
-                replay_resilient(&mut flaky, &ids, &archive, 1, ReplayPolicy::resilient(0))
-                    .unwrap();
-            assert_eq!(report.ops.retried, 1);
-            assert_eq!(report.ops.skipped, 0);
-            let rows = flaky
-                .inner
-                .scan(t, &SysSpec::All, &AppSpec::All, &[])
-                .unwrap()
-                .rows;
-            assert_eq!(
-                rows.len(),
-                2,
-                "both inserts must land exactly once: the first transaction's \
-                 identical committed version is not the second's effect"
-            );
-        }
+        assert!(matches!(
+            replay(engine.as_mut(), &ids, &archive, 1),
+            Err(Error::KeyNotFound(_))
+        ));
     }
 
     #[test]

@@ -36,9 +36,8 @@ use crate::cluster::Cluster;
 use bitempo_core::{Error, Result, SysTime};
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::SystemKind;
-use bitempo_histgen::apply_op;
 use bitempo_txn::TxnManager;
-use bitempo_wal::{recover, Recovered, TxnWal};
+use bitempo_wal::{apply_logged, recover, Recovered, TxnWal};
 use std::collections::BTreeSet;
 
 /// One shard's surviving durable state: its WAL image and the encoded
@@ -147,30 +146,22 @@ pub fn recover_cluster(
                 ));
                 continue;
             }
-            // Land it exactly where the live commit would have: clock
-            // to gts − 1 so the apply stamps at gts.
-            rec.engine.advance_clock(SysTime(p.gts.saturating_sub(1)));
-            let mut failed = None;
-            for op in &p.txn.ops {
-                if let Err(e) = apply_op(rec.engine.as_mut(), &rec.ids, op) {
-                    failed = Some(e);
-                    break;
+            // Land it exactly where the live commit would have: at gts.
+            match apply_logged(rec.engine.as_mut(), &rec.ids, Some(p.gts), &p.txn) {
+                Ok(ts) => debug_assert_eq!(ts, SysTime(p.gts), "recovered commit missed its slot"),
+                Err(e) => {
+                    // A decided prepare that cannot apply leaves this shard
+                    // with partial pending state and no rollback path. Mark
+                    // the shard degraded and keep going — one shard's
+                    // problems never block its siblings' recovery.
+                    rec.report.unreplayable.get_or_insert_with(|| {
+                        format!("decided prepare {} failed to apply: {e}", p.gts)
+                    });
+                    degraded.push((si, p.gts, e.to_string()));
+                    broken = true;
+                    continue;
                 }
             }
-            if let Some(e) = failed {
-                // A decided prepare that cannot apply leaves this shard
-                // with partial pending state and no rollback path. Mark
-                // the shard degraded and keep going — one shard's
-                // problems never block its siblings' recovery.
-                rec.report
-                    .unreplayable
-                    .get_or_insert_with(|| format!("decided prepare {} failed to apply: {e}", p.gts));
-                degraded.push((si, p.gts, e.to_string()));
-                broken = true;
-                continue;
-            }
-            let ts = rec.engine.commit();
-            debug_assert_eq!(ts, SysTime(p.gts), "recovered commit missed its slot");
             rec.report.replayed += 1;
             rec.report.commits += 1;
             committed_pending.push((si, p.gts));

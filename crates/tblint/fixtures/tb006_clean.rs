@@ -5,7 +5,7 @@ fn open_strict(sink: Box<dyn WalSink>) -> Result<TxnWal> {
     TxnWal::create(sink, DurabilityMode::Strict)
 }
 
-fn open_from_opts(sink: Box<dyn WalSink>, opts: &DurableOptions) -> Result<TxnWal> {
+fn open_from_opts(sink: Box<dyn WalSink>, opts: &LogOptions) -> Result<TxnWal> {
     TxnWal::create(sink, opts.mode)
 }
 

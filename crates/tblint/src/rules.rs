@@ -377,8 +377,23 @@ fn tb006(toks: &[Tok], out: &mut Vec<Finding>) {
 /// production code (test modules excluded). The receiver heuristic is the
 /// workspace's naming convention for engine values — `engine`, `eng`, or
 /// any `*_engine` binding; DML on anything else (a map's `insert`, a
-/// transaction's `update`) does not fire.
+/// transaction's `update`) does not fire. A call to histgen's `apply_op`
+/// fires too: it is engine DML one hop away, and it writes nothing to the
+/// WAL.
 fn tb007(toks: &[Tok], out: &mut Vec<Finding>) {
+    for w in toks.windows(2) {
+        if w[0].kind == TokKind::Ident && w[0].text == "apply_op" && w[1].text == "(" {
+            out.push(Finding {
+                line: w[0].line,
+                code: TB007,
+                message: "direct `apply_op` outside the sanctioned write paths — it drives \
+                          engine DML with no snapshot validation and no WAL record; \
+                          archive ops go through histgen's replay or \
+                          `bitempo_txn::Transaction::buffer`"
+                    .to_string(),
+            });
+        }
+    }
     const DML: [&str; 5] = [
         "insert",
         "update",
@@ -884,6 +899,15 @@ mod tests {
         assert!(codes(path, "txn.update(id, &k, &sets, None)?;").is_empty());
         assert!(codes(path, "engine.scan(id, &sys, &app, &[])?;").is_empty());
         assert!(codes(path, "engine.commit();").is_empty());
+        // histgen's op dispatch is the same DML one hop away.
+        assert_eq!(
+            codes(
+                path,
+                "bitempo_histgen::apply_op(engine.as_mut(), &ids, op)?;"
+            ),
+            vec![TB007]
+        );
+        assert!(codes(path, "txn.buffer(op)?;").is_empty());
         // The sanctioned write paths are exempt wholesale.
         for exempt in [
             "crates/histgen/src/loader.rs",

@@ -168,8 +168,8 @@ fn tb007_fixture_fires_outside_sanctioned_paths_only() {
     let diags = check_source("crates/bench/src/experiments.rs", &src);
     assert_eq!(
         codes(&diags),
-        [rules::TB007, rules::TB007],
-        "bare and suffixed receivers: {diags:?}"
+        [rules::TB007, rules::TB007, rules::TB007],
+        "bare and suffixed receivers, apply_op: {diags:?}"
     );
     // The loader, recovery, MVCC, engine internals and the test tree are
     // the sanctioned write paths.

@@ -34,7 +34,9 @@
 //! failure directions the durable log and the reported outcome agree — a
 //! failed apply logs nothing, and an append failure after apply poisons
 //! the manager without a record, so recovery never resurrects a
-//! transaction whose commit returned an error.
+//! transaction whose commit returned an error. This commit path is the
+//! only writer of WAL records: archive replay with a log
+//! ([`replay_logged`]) commits each archive transaction through it too.
 //!
 //! **First-committer-wins.** Each buffered write contributes a
 //! `(table, key, application-period)` entry to the transaction's write
@@ -58,7 +60,7 @@ use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableI
 use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
 };
-use bitempo_histgen::{apply_op, Op, Transaction as TxnOps};
+use bitempo_histgen::{apply_op, table_id, Op, Transaction as TxnOps};
 use bitempo_wal::{Checkpoint, DurabilityWaiter, TxnWal};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,9 +140,8 @@ pub struct TxnManager {
 impl TxnManager {
     /// Wraps a loaded engine. `ids` must be the engine's tables in archive
     /// load order (at most 256, the [`Op`] addressing limit); `wal`, when
-    /// present, receives one record per committed writing transaction,
-    /// encoded exactly as the durability driver's — [`bitempo_wal::recover`]
-    /// replays interactive history and replayed history identically.
+    /// present, receives one record per committed writing transaction, in
+    /// the archive op encoding [`bitempo_wal::recover`] replays.
     ///
     /// A non-empty `wal` is adopted, not reset: sequence numbering
     /// continues from its last appended record, so checkpoints taken from
@@ -434,6 +435,39 @@ impl<'a> Transaction<'a> {
         Ok(())
     }
 
+    /// Buffers one archive op through the validated method for its kind
+    /// ([`Self::insert`], [`Self::update`], [`Self::delete`],
+    /// [`Self::overwrite_app_period`]). The op's table index is
+    /// range-checked exactly as [`apply_op`] checks it on replay.
+    pub fn buffer(&mut self, op: &Op) -> Result<()> {
+        let ids = &self.mgr.ids;
+        match op {
+            Op::Insert { table, row, app } => {
+                self.insert(table_id(ids, *table)?, row.clone(), *app)
+            }
+            Op::Update {
+                table,
+                key,
+                updates,
+                portion,
+            } => {
+                let sets: Vec<(usize, Value)> = updates
+                    .iter()
+                    .map(|(c, v)| (usize::from(*c), v.clone()))
+                    .collect();
+                self.update(table_id(ids, *table)?, key, &sets, *portion)
+            }
+            Op::Delete {
+                table,
+                key,
+                portion,
+            } => self.delete(table_id(ids, *table)?, key, *portion),
+            Op::OverwriteApp { table, key, period } => {
+                self.overwrite_app_period(table_id(ids, *table)?, key, *period)
+            }
+        }
+    }
+
     /// Discards the buffered writes and releases the snapshot pin —
     /// explicitly, so the release is symmetric with [`Self::commit`]'s
     /// release-at-publish rather than deferred to a later drop.
@@ -582,9 +616,8 @@ impl<'a> Transaction<'a> {
         }
 
         // Log after apply, still inside the exclusive section, so WAL
-        // order is commit order (same encode_txn framing as the durability
-        // replay driver — recovery replays interactive history through
-        // the same dispatch). `submit` writes the frame without syncing:
+        // order is commit order (recovery replays every record through the
+        // same `apply_op` dispatch). `submit` writes the frame without syncing:
         // the fsync belongs to the waiter below, *outside* every lock, so
         // a strict-mode sync never serializes readers behind the disk
         // (tblint TB008). A submit failure here poisons: the applied state
@@ -755,6 +788,57 @@ impl<'a> Transaction<'a> {
             unpinned: false,
         })
     }
+}
+
+/// What a [`replay_logged`] run produced.
+#[derive(Debug)]
+pub struct LoggedReplay {
+    /// Archive transactions committed (each applied, then logged).
+    pub commits: u64,
+    /// Encoded checkpoints from [`TxnManager::checkpoint`], oldest first.
+    /// Index 0 is the state the manager held before the replay.
+    pub checkpoints: Vec<Vec<u8>>,
+    /// `Some(reason)` if a commit failed and the run stopped there. With
+    /// one committer and a validated archive, only the WAL sink can fail a
+    /// commit, so this is the simulated crash: the manager is poisoned and
+    /// the log bytes are all that survive.
+    pub crashed: Option<String>,
+}
+
+/// Replays archive transactions through `mgr`, one `begin` / `buffer` /
+/// `commit` per transaction, capturing a checkpoint before the first
+/// commit and after every `checkpoint_every` commits (0 = only the first).
+/// Every record is therefore written by the same apply-then-log commit
+/// path that serves interactive traffic. A buffer error is a hard error
+/// (the archive is trusted input); a commit error stops the run and is
+/// reported in [`LoggedReplay::crashed`]. The caller closes the manager.
+pub fn replay_logged(
+    mgr: &TxnManager,
+    txns: &[TxnOps],
+    checkpoint_every: u64,
+) -> Result<LoggedReplay> {
+    let mut checkpoints = vec![mgr.checkpoint()?.encode()];
+    let mut commits = 0u64;
+    let mut crashed = None;
+    for archived in txns {
+        let mut txn = mgr.begin()?;
+        for op in &archived.ops {
+            txn.buffer(op)?;
+        }
+        if let Err(e) = txn.commit() {
+            crashed = Some(e.to_string());
+            break;
+        }
+        commits += 1;
+        if checkpoint_every > 0 && commits.is_multiple_of(checkpoint_every) {
+            checkpoints.push(mgr.checkpoint()?.encode());
+        }
+    }
+    Ok(LoggedReplay {
+        commits,
+        checkpoints,
+        crashed,
+    })
 }
 
 /// The durability wait a publish still owes. Dropping it without calling
@@ -1592,7 +1676,7 @@ mod tests {
             apply_op(engine.as_mut(), &ids, op).unwrap();
         }
         engine.commit();
-        wal.append(&encode_txn(&prior).unwrap()).unwrap();
+        wal.submit(&encode_txn(&prior).unwrap()).unwrap();
 
         // Adoption: the next commit is record 2, not record 1.
         let mgr = TxnManager::new(engine, ids, Some(wal)).unwrap();

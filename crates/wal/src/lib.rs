@@ -17,16 +17,19 @@
 //!   (`dur_batched_Nms`), or never until close (`dur_async`);
 //! * [`checkpoint`] serializes a quiesced engine's full version set so
 //!   recovery never replays the whole history;
-//! * [`recover`] ties it together: the [`recover::durable_replay`] driver
-//!   appends each committed transaction to the WAL and checkpoints on a
-//!   fixed cadence, and [`recover::recover`] rebuilds an engine from the
-//!   newest valid checkpoint plus the WAL tail, truncating at the first
-//!   torn or corrupt record.
+//! * [`recover`] rebuilds an engine from the newest valid checkpoint plus
+//!   the WAL tail, truncating at the first torn or corrupt record.
+//!
+//! This crate never decides *what* is logged. There is one write contract:
+//! `bitempo_txn::TxnManager` applies a transaction, then submits its
+//! record, so the log only ever holds transactions that fully applied —
+//! archive replay with a WAL (`bitempo_txn::replay_logged`) goes through
+//! the same manager as interactive traffic.
 //!
 //! Fault injection reuses [`bitempo_core::fault`]: wrapping the sink in a
 //! `FaultyWriter` simulates a crash at an arbitrary byte of the log, and
 //! the recovery tests assert the recovered engine answers all five query
-//! classes identically to an uncrashed oracle replay of the same prefix.
+//! classes identically to an uncrashed replay of the same prefix.
 
 // Tests may unwrap freely; production durability code must not (tblint
 // TB010 for lock results, `clippy::unwrap_used` in Cargo.toml for the rest).
@@ -45,7 +48,6 @@ pub use record::{
     decode_payload, encode_committed_at, encode_decision, encode_prepare, WalPayload,
 };
 pub use recover::{
-    canonical_state, durable_replay, oracle_replay, recover, DurableOptions, DurableRun,
-    PendingPrepare, Recovered, RecoveryReport,
+    apply_logged, canonical_state, recover, PendingPrepare, Recovered, RecoveryReport,
 };
 pub use sink::{NullSink, SharedBuf, WalSink};

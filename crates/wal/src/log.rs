@@ -3,8 +3,9 @@
 //! [`TxnWal`] frames payloads with `bitempo_storage::wal` and pushes them
 //! into a [`WalSink`] under one of the three durability modes:
 //!
-//! * [`DurabilityMode::Strict`] — every append writes *and syncs* before
-//!   returning; an acknowledged commit is durable.
+//! * [`DurabilityMode::Strict`] — every submitted record is synced by the
+//!   committer's [`DurabilityWaiter`] before the commit is acknowledged;
+//!   an acknowledged commit is durable.
 //! * [`DurabilityMode::Batched`]`(N)` — appends enqueue without blocking; a
 //!   flusher thread wakes roughly every `N` milliseconds, writes the
 //!   accumulated batch and syncs it once — the classic group commit.
@@ -27,9 +28,10 @@ use std::time::Duration;
 /// A write-ahead log of framed payloads under a durability mode.
 ///
 /// One `TxnWal` per log stream, for its lifetime. Sequence numbers are the
-/// dense 1-based record numbers assigned by the framing layer; the driver
-/// appends exactly one record per committed transaction, so record `seq`
-/// *is* the commit number.
+/// dense 1-based record numbers assigned by the framing layer. Records
+/// enter only through [`TxnWal::submit`], called by the serving layer
+/// after a transaction has applied; durability is awaited through
+/// [`TxnWal::waiter`] or forced with [`TxnWal::sync`].
 pub struct TxnWal {
     mode: DurabilityMode,
     backend: Backend,
@@ -88,33 +90,6 @@ impl TxnWal {
     /// The configured durability mode.
     pub fn mode(&self) -> DurabilityMode {
         self.mode
-    }
-
-    /// Appends one payload as the next record, returning its sequence
-    /// number. Under `Strict` the record is durable on return; under
-    /// `Batched` it is merely *submitted* (watch [`TxnWal::durable_seq`]
-    /// or call [`TxnWal::sync`]); under `Async` it is written, unsynced.
-    ///
-    /// Single-threaded drivers (replay, benchmarks) use this. Concurrent
-    /// committers holding other locks should prefer [`TxnWal::submit`] +
-    /// [`TxnWal::waiter`], which moves the strict fsync out of the caller's
-    /// critical section.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        match &mut self.backend {
-            Backend::Direct { shared, appender } => {
-                let (seq, frame) = appender.encode(payload);
-                let mut s = shared.sink.lock().expect("wal sink poisoned");
-                s.sink.write_all(&frame)?;
-                s.written = seq;
-                if self.mode == DurabilityMode::Strict {
-                    // tblint: allow(TB008) the sink mutex serializes the sink itself; strict append syncs under it by design
-                    s.sink.sync()?;
-                    s.durable = seq;
-                }
-                Ok(seq)
-            }
-            Backend::Batched(b) => b.enqueue(payload),
-        }
     }
 
     /// Appends one payload *without* a durability wait: the frame is
@@ -182,9 +157,8 @@ impl TxnWal {
             Backend::Direct { shared, .. } => match self.mode {
                 // Strict: a submitted record is not yet synced; the waiter
                 // performs the deferred fsync (amortized across every
-                // committer that submitted before it runs). Records that
-                // went through `append` are already durable, so the waiter
-                // short-circuits on the watermark.
+                // committer that submitted before it runs) and
+                // short-circuits once the watermark covers its record.
                 DurabilityMode::Strict => DurabilityWaiter(Waiter::StrictSync {
                     shared: Arc::clone(shared),
                 }),
@@ -227,8 +201,7 @@ pub struct DurabilityWaiter(Waiter);
 
 #[derive(Clone)]
 enum Waiter {
-    /// Async mode (no wait contract) — and strict `append`, whose records
-    /// are durable before the waiter ever runs: return immediately.
+    /// Async mode (no wait contract): return immediately.
     Immediate,
     /// Strict mode after [`TxnWal::submit`]: perform the deferred fsync if
     /// the target record is not durable yet. One waiter's sync covers every
@@ -247,8 +220,8 @@ enum Waiter {
 
 impl DurabilityWaiter {
     /// Blocks until record `seq` is durable under this log's mode. Under
-    /// strict and async modes this is a no-op (strict records are durable
-    /// on append-return; async promises nothing until an explicit sync).
+    /// async mode this is a no-op (it promises nothing until an explicit
+    /// sync).
     pub fn wait_for(&self, seq: u64) -> Result<()> {
         match &self.0 {
             Waiter::Immediate => Ok(()),
@@ -535,49 +508,16 @@ mod tests {
     }
 
     #[test]
-    fn strict_append_still_syncs_inline_so_the_waiter_is_free() {
-        let buf = SharedBuf::new();
-        let syncs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let sink = CountingSink {
-            inner: buf.clone(),
-            syncs: std::sync::Arc::clone(&syncs),
-        };
-        let mut w = TxnWal::create(Box::new(sink), DurabilityMode::Strict).unwrap();
-        assert_eq!(w.append(b"t1").unwrap(), 1);
-        assert_eq!(syncs.load(std::sync::atomic::Ordering::SeqCst), 1);
-        w.waiter().wait_for(1).unwrap();
-        assert_eq!(
-            syncs.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "the waiter sees the record already durable and does nothing"
-        );
-    }
-
-    #[test]
-    fn strict_mode_is_durable_per_append() {
-        let buf = SharedBuf::new();
-        let mut w = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Strict).unwrap();
-        assert_eq!(w.append(b"t1").unwrap(), 1);
-        assert_eq!(w.durable_seq(), 1);
-        assert_eq!(w.append(b"t2").unwrap(), 2);
-        assert_eq!(w.durable_seq(), 2);
-        assert_eq!(w.close().unwrap(), 2);
-        let s = wal::scan(&buf.snapshot());
-        assert!(s.is_clean());
-        assert_eq!(s.last_seq(), 2);
-    }
-
-    #[test]
     fn async_mode_syncs_only_on_demand() {
         let buf = SharedBuf::new();
         let mut w = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Async).unwrap();
-        w.append(b"t1").unwrap();
-        w.append(b"t2").unwrap();
+        w.submit(b"t1").unwrap();
+        w.submit(b"t2").unwrap();
         assert_eq!(w.durable_seq(), 0, "nothing promised yet");
         assert_eq!(w.submitted_seq(), 2);
         w.sync().unwrap();
         assert_eq!(w.durable_seq(), 2);
-        w.append(b"t3").unwrap();
+        w.submit(b"t3").unwrap();
         assert_eq!(w.close().unwrap(), 3);
     }
 
@@ -586,7 +526,7 @@ mod tests {
         let buf = SharedBuf::new();
         let mut w = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Batched(1)).unwrap();
         for i in 0..20u8 {
-            w.append(&[i]).unwrap();
+            w.submit(&[i]).unwrap();
         }
         assert_eq!(w.submitted_seq(), 20);
         w.sync().unwrap();
@@ -605,7 +545,8 @@ mod tests {
         let mut w = TxnWal::create(Box::new(sink), DurabilityMode::Strict).unwrap();
         let mut crashed_at = None;
         for i in 0..10u64 {
-            if w.append(format!("txn-{i}").as_bytes()).is_err() {
+            // Acknowledged = submitted and synced.
+            if w.submit(format!("txn-{i}").as_bytes()).is_err() || w.sync().is_err() {
                 crashed_at = Some(i);
                 break;
             }
@@ -625,7 +566,7 @@ mod tests {
         let mut w = TxnWal::create(Box::new(sink), DurabilityMode::Batched(1)).unwrap();
         for i in 0..50u64 {
             // Submission may start failing once the flusher has died.
-            let _ = w.append(format!("txn-{i}").as_bytes());
+            let _ = w.submit(format!("txn-{i}").as_bytes());
         }
         assert!(w.close().is_err(), "the sink failure surfaces on close");
         let s = wal::scan(&buf.snapshot());

@@ -1,132 +1,47 @@
 //! Crash recovery: checkpoint + WAL tail = the uncrashed engine.
 //!
-//! [`durable_replay`] is the logging twin of the histgen loader: it replays
-//! the generator archive one transaction per commit, appending each
-//! transaction's archive-v2 body to a [`TxnWal`] *before* applying it, and
-//! snapshots a [`Checkpoint`] every `checkpoint_every` commits. A sink
-//! failure mid-run is a simulated crash: the driver stops and reports it,
-//! leaving the torn log bytes as the only survivor.
+//! Every WAL record is written by `bitempo_txn::TxnManager`, which applies
+//! a transaction *before* it logs it, so each record describes a
+//! transaction that fully applied. Checkpoints come from
+//! `TxnManager::checkpoint`, labelled with the exact WAL sequence number
+//! they cover.
 //!
 //! [`recover`] rebuilds from those survivors: it scans the WAL (keeping the
 //! longest valid prefix, truncating at the first torn or corrupt record),
 //! picks the newest checkpoint that still decodes (falling back past
 //! corrupt ones), restores the engine from it, and replays the WAL records
-//! after the checkpoint through [`bitempo_histgen::apply_op`] — the exact
-//! dispatch of the original load. Tuning is re-applied afterwards, like a
-//! cold load. The crash tests assert the result is query-equivalent to
-//! [`oracle_replay`] of the same prefix on all five query classes.
+//! after the checkpoint through [`apply_logged`] — the same
+//! [`bitempo_histgen::apply_op`] dispatch as the original load. Tuning is
+//! re-applied afterwards, like a cold load. The crash tests assert the
+//! result is query-equivalent to a plain `loader::replay` of the same
+//! prefix on all five query classes.
 
 use crate::checkpoint::Checkpoint;
-use crate::log::TxnWal;
 use crate::record::{decode_payload, WalPayload};
 use bitempo_core::{Error, Result, SysTime, TableId};
-use bitempo_dbgen::TpchData;
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind, TuningConfig};
-use bitempo_histgen::{apply_op, encode_txn, load_initial, Archive};
+use bitempo_histgen::{apply_op, Transaction};
 use bitempo_storage::wal;
-use bitempo_storage::DurabilityMode;
 
-/// Replay-with-logging options.
-#[derive(Debug, Clone, Copy)]
-pub struct DurableOptions {
-    /// When appended commit records become durable.
-    pub mode: DurabilityMode,
-    /// Snapshot a checkpoint every this many commits (0 = only the
-    /// checkpoint of the initial load). Recovery replays at most this many
-    /// WAL records, so it bounds recovery time.
-    pub checkpoint_every: u64,
-}
-
-impl Default for DurableOptions {
-    /// Async logging, checkpoint every 64 commits.
-    fn default() -> DurableOptions {
-        DurableOptions {
-            mode: DurabilityMode::Async,
-            checkpoint_every: 64,
-        }
-    }
-}
-
-/// What a [`durable_replay`] run produced.
-#[derive(Debug)]
-pub struct DurableRun {
-    /// Table ids in creation order.
-    pub ids: Vec<TableId>,
-    /// Transactions applied and committed (each one appended to the WAL
-    /// before it was applied).
-    pub commits: u64,
-    /// Encoded checkpoints, oldest first. Index 0 is always the snapshot
-    /// of the initial load (`seq` 0).
-    pub checkpoints: Vec<Vec<u8>>,
-    /// Highest WAL sequence number acknowledged durable at close.
-    pub durable_seq: u64,
-    /// `Some(reason)` if the WAL sink failed mid-run — the simulated
-    /// crash. Commits stop at the failure; the engine state past the log
-    /// is considered lost.
-    pub crashed: Option<String>,
-}
-
-/// Replays `archive` against `engine` with write-ahead logging: for each
-/// transaction, append its encoded body to `log`, apply its operations,
-/// commit, and checkpoint on the configured cadence.
-///
-/// A WAL append failure stops the run (see [`DurableRun::crashed`]); any
-/// other operation failure is a hard error — the archive is trusted input
-/// here, and recovery must be able to assume zero skipped ops.
-pub fn durable_replay(
+/// Applies one logged transaction and commits it: the clock is first
+/// advanced to `gts − 1` when the record carries a global commit
+/// timestamp, so the ops and the commit land at exactly `gts`. On an apply
+/// failure nothing is committed and the engine holds the partial pending
+/// state (the engines have no rollback); the caller decides whether to
+/// rebuild or mark the engine degraded.
+pub fn apply_logged(
     engine: &mut dyn BitemporalEngine,
-    data: &TpchData,
-    archive: &Archive,
-    log: TxnWal,
-    opts: &DurableOptions,
-) -> Result<DurableRun> {
-    let mut log = log;
-    let ids = load_initial(engine, data)?;
-    let mut checkpoints = vec![Checkpoint::capture(engine, &ids, 0)?.encode()];
-    let mut commits = 0u64;
-    let mut crashed = None;
-    for txn in &archive.transactions {
-        let payload = encode_txn(txn)?;
-        // A checkpoint must be labelled with the exact WAL sequence number
-        // it covers — the one the framing layer assigned, not a commit
-        // counter kept on the side. In this single-threaded driver the two
-        // coincide (asserted below), but recovery's "skip `rec.seq <=
-        // ckpt.seq`" boundary is only safe if the label comes from the log
-        // itself; a drifted counter would drop or double-replay the
-        // transaction that straddles the checkpoint.
-        let seq = match log.append(&payload) {
-            Ok(seq) => seq,
-            Err(e) => {
-                crashed = Some(e.to_string());
-                break;
-            }
-        };
-        for op in &txn.ops {
-            apply_op(engine, &ids, op)?;
-        }
-        engine.commit();
-        commits += 1;
-        debug_assert_eq!(seq, commits, "WAL seq diverged from the commit count");
-        if opts.checkpoint_every > 0 && commits.is_multiple_of(opts.checkpoint_every) {
-            checkpoints.push(Checkpoint::capture(engine, &ids, seq)?.encode());
-        }
+    ids: &[TableId],
+    gts: Option<u64>,
+    txn: &Transaction,
+) -> Result<SysTime> {
+    if let Some(g) = gts {
+        engine.advance_clock(SysTime(g.saturating_sub(1)));
     }
-    let durable_seq = match log.close() {
-        Ok(d) => d,
-        Err(e) => {
-            // A failure surfacing at close (group commit) is the same
-            // crash, detected later; keep the first reason we saw.
-            crashed.get_or_insert(e.to_string());
-            0
-        }
-    };
-    Ok(DurableRun {
-        ids,
-        commits,
-        checkpoints,
-        durable_seq,
-        crashed,
-    })
+    for op in &txn.ops {
+        apply_op(engine, ids, op)?;
+    }
+    Ok(engine.commit())
 }
 
 /// How a recovery went: what was salvaged, from where.
@@ -150,9 +65,9 @@ pub struct RecoveryReport {
     /// `Some(reason)` if a structurally valid record failed to decode or
     /// apply: replay stopped at its boundary (state continuity past a
     /// skipped record would be fiction) and the recovered state covers
-    /// only the records before it. Both log writers append a record only
-    /// after (or while trusting that) its transaction applies, so this
-    /// indicates corruption that slipped past the frame checksums.
+    /// only the records before it. The serving layer logs a commit record
+    /// only after its transaction applied, so this indicates corruption
+    /// that slipped past the frame checksums.
     pub unreplayable: Option<String>,
     /// Prepares left undecided at the end of the valid prefix and
     /// therefore *presumed aborted* (not applied). A cluster recovery may
@@ -272,7 +187,7 @@ pub fn recover(
     engine.apply_tuning(tuning)?;
     engine.checkpoint();
     // Record seqs are dense and 1-based, so for a pure commit-record log
-    // (every WAL PR 7 writes) the recovered state covers exactly the
+    // (every single-engine WAL) the recovered state covers exactly the
     // checkpoint plus every replayed record. Shard WALs interleave
     // prepare/decision records, so their commit accounting lives with the
     // cluster, not here.
@@ -312,13 +227,7 @@ fn replay_items(
     for (idx, (_, item)) in items.iter().enumerate() {
         match item {
             WalPayload::Commit { gts, txn } => {
-                if let Some(g) = gts {
-                    engine.advance_clock(SysTime(g.saturating_sub(1)));
-                }
-                for op in &txn.ops {
-                    apply_op(engine, ids, op).map_err(|e| (idx, e))?;
-                }
-                engine.commit();
+                apply_logged(engine, ids, *gts, txn).map_err(|e| (idx, e))?;
                 replayed += 1;
             }
             WalPayload::Prepare { gid, gts, txn } => {
@@ -333,11 +242,7 @@ fn replay_items(
                 match (pos, commit) {
                     (Some(pos), true) => {
                         let p = stash.remove(pos);
-                        engine.advance_clock(SysTime(gts.saturating_sub(1)));
-                        for op in &p.txn.ops {
-                            apply_op(engine, ids, op).map_err(|e| (idx, e))?;
-                        }
-                        engine.commit();
+                        apply_logged(engine, ids, Some(*gts), &p.txn).map_err(|e| (idx, e))?;
                         replayed += 1;
                     }
                     (Some(pos), false) => {
@@ -364,39 +269,6 @@ fn replay_items(
     Ok((replayed, stash))
 }
 
-/// The uncrashed oracle: replays the first `commits` transactions of
-/// `archive` with the same commit cadence as [`durable_replay`] (including
-/// the physical-checkpoint calls on the same boundaries), then applies
-/// `tuning`. Recovery must be equivalent to this.
-pub fn oracle_replay(
-    kind: SystemKind,
-    data: &TpchData,
-    archive: &Archive,
-    commits: u64,
-    opts: &DurableOptions,
-    tuning: &TuningConfig,
-) -> Result<(Box<dyn BitemporalEngine>, Vec<TableId>)> {
-    let mut engine = build_engine(kind);
-    let ids = load_initial(engine.as_mut(), data)?;
-    engine.checkpoint();
-    for (i, txn) in archive.transactions.iter().enumerate() {
-        if i as u64 >= commits {
-            break;
-        }
-        for op in &txn.ops {
-            apply_op(engine.as_mut(), &ids, op)?;
-        }
-        engine.commit();
-        let done = i as u64 + 1;
-        if opts.checkpoint_every > 0 && done.is_multiple_of(opts.checkpoint_every) {
-            engine.checkpoint();
-        }
-    }
-    engine.apply_tuning(tuning)?;
-    engine.checkpoint();
-    Ok((engine, ids))
-}
-
 /// A canonical, order-independent rendering of an engine's entire logical
 /// state: every table's versions, sorted. Two engines of the same kind
 /// are state-equivalent iff these match — the strongest equivalence the
@@ -419,240 +291,26 @@ pub fn canonical_state(engine: &dyn BitemporalEngine, ids: &[TableId]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::TxnWal;
     use crate::sink::SharedBuf;
-    use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
-    use bitempo_dbgen::ScaleConfig;
-    use bitempo_histgen::{generate_history, HistoryConfig};
+    use bitempo_histgen::encode_txn;
+    use bitempo_storage::DurabilityMode;
 
-    fn tiny_world() -> (TpchData, Archive) {
-        let data = bitempo_dbgen::generate(&ScaleConfig {
-            h: 0.0004,
-            seed: 0xD00D,
-        });
-        let hist = generate_history(
-            &data,
-            &HistoryConfig {
-                m: 0.00012, // 120 scenario transactions
-                seed: 0xFACE,
-                scenarios_per_day: 4,
-            },
-        );
-        (data, hist.archive)
-    }
-
-    #[test]
-    fn clean_run_recovers_identically() {
-        let (data, archive) = tiny_world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: 50,
-        };
-        let tuning = TuningConfig::none().with_workers(1);
-        let buf = SharedBuf::new();
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(buf.clone()), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
-        assert!(run.crashed.is_none());
-        assert_eq!(run.commits, archive.transactions.len() as u64);
-        assert_eq!(run.durable_seq, run.commits);
-        assert_eq!(run.checkpoints.len(), 1 + (run.commits / 50) as usize);
-
-        let rec = recover(SystemKind::A, &buf.snapshot(), &run.checkpoints, &tuning).unwrap();
-        assert!(rec.report.torn.is_none());
-        assert_eq!(rec.report.commits, run.commits);
-        assert!(rec.report.checkpoint_seq >= 50, "used a late checkpoint");
-        assert_eq!(
-            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
-            canonical_state(engine.as_ref(), &run.ids).unwrap()
-        );
-    }
-
-    #[test]
-    fn crash_mid_stream_recovers_the_prefix() {
-        let (data, archive) = tiny_world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: 32,
-        };
-        let tuning = TuningConfig::none().with_workers(1);
-
-        // Dry run to size the log, then cut it at two thirds.
-        let dry = SharedBuf::new();
-        let mut scratch = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(dry.clone()), opts.mode).unwrap();
-        durable_replay(scratch.as_mut(), &data, &archive, log, &opts).unwrap();
-        let cut = (dry.len() as u64) * 2 / 3;
-
-        let buf = SharedBuf::new();
-        let sink = FaultyWriter::new(
-            buf.clone(),
-            FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-        );
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
-        assert!(run.crashed.is_some(), "the cut must fire");
-        assert!(run.commits < archive.transactions.len() as u64);
-
-        let rec = recover(SystemKind::A, &buf.snapshot(), &run.checkpoints, &tuning).unwrap();
-        // Strict mode: every acknowledged commit must be recovered.
-        assert_eq!(rec.report.commits, run.commits);
-        let (oracle, oracle_ids) = oracle_replay(
-            SystemKind::A,
-            &data,
-            &archive,
-            rec.report.commits,
-            &opts,
-            &tuning,
-        )
-        .unwrap();
-        assert_eq!(
-            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
-            canonical_state(oracle.as_ref(), &oracle_ids).unwrap()
-        );
-    }
-
-    #[test]
-    fn corrupt_newest_checkpoint_falls_back_to_an_older_one() {
-        let (data, archive) = tiny_world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Async,
-            checkpoint_every: 40,
-        };
-        let tuning = TuningConfig::none().with_workers(1);
-        let buf = SharedBuf::new();
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(buf.clone()), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
-        assert!(run.checkpoints.len() >= 3, "need checkpoints to corrupt");
-
-        let mut checkpoints = run.checkpoints.clone();
-        let last = checkpoints.len() - 1;
-        let mid = checkpoints[last].len() / 2;
-        checkpoints[last][mid] ^= 0xFF;
-
-        let rec = recover(SystemKind::A, &buf.snapshot(), &checkpoints, &tuning).unwrap();
-        assert_eq!(rec.report.checkpoints_rejected, 1);
-        assert_eq!(rec.report.commits, run.commits, "the WAL covers the gap");
-        assert_eq!(
-            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
-            canonical_state(engine.as_ref(), &run.ids).unwrap()
-        );
-    }
-
-    /// Byte offset of the exact frame boundary after record `k` of a clean
-    /// run's WAL bytes. Frames are deterministic given the payload
-    /// sequence, so re-encoding the scanned payloads reproduces the sizes.
-    fn boundary_after(clean_wal: &[u8], k: usize) -> u64 {
-        let scan = wal::scan(clean_wal);
-        assert!(scan.is_clean() && scan.records.len() > k);
-        let mut appender = wal::WalAppender::new();
-        let mut off = wal::header_bytes().len() as u64;
-        for rec in &scan.records[..k] {
-            let (_, frame) = appender.encode(&rec.payload);
-            off += frame.len() as u64;
-        }
-        off
-    }
-
-    /// The checkpoint/WAL boundary: a crash *exactly* at the frame boundary
-    /// after the checkpointed commit must recover precisely that commit
-    /// count — the checkpointed transaction is neither dropped (off-by-one
-    /// toward the past) nor replayed twice (checkpoint label drifting below
-    /// the WAL seq it actually covers).
-    #[test]
-    fn crash_exactly_on_the_checkpoint_boundary() {
-        let (data, archive) = tiny_world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: 32,
-        };
-        let tuning = TuningConfig::none().with_workers(1);
-
-        let dry = SharedBuf::new();
-        let mut scratch = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(dry.clone()), opts.mode).unwrap();
-        durable_replay(scratch.as_mut(), &data, &archive, log, &opts).unwrap();
-
-        // Cut at the boundary right after record 32 — the same commit the
-        // cadence checkpoints — and two frames into record 33 (torn tail).
-        for extra in [0u64, 2] {
-            let cut = boundary_after(&dry.snapshot(), 32) + extra;
-            let buf = SharedBuf::new();
-            let sink = FaultyWriter::new(
-                buf.clone(),
-                FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-            );
-            let mut engine = build_engine(SystemKind::A);
-            let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
-            let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
-            assert!(run.crashed.is_some());
-            assert_eq!(run.commits, 32, "strict mode stops at the cut");
-
-            let rec = recover(SystemKind::A, &buf.snapshot(), &run.checkpoints, &tuning).unwrap();
-            assert_eq!(rec.report.checkpoint_seq, 32, "newest checkpoint wins");
-            assert_eq!(rec.report.replayed, 0, "nothing may be replayed twice");
-            assert_eq!(rec.report.commits, 32, "nothing may be dropped");
-            let (oracle, oracle_ids) =
-                oracle_replay(SystemKind::A, &data, &archive, 32, &opts, &tuning).unwrap();
-            assert_eq!(
-                canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
-                canonical_state(oracle.as_ref(), &oracle_ids).unwrap()
-            );
-        }
-    }
-
-    /// A crash a few commits past a checkpoint replays exactly the records
-    /// after the checkpoint's recorded seq — the straddling transaction is
-    /// covered by the checkpoint, not double-applied from the WAL.
-    #[test]
-    fn recovery_replays_only_records_past_the_checkpoint_seq() {
-        let (data, archive) = tiny_world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: 32,
-        };
-        let tuning = TuningConfig::none().with_workers(1);
-
-        let dry = SharedBuf::new();
-        let mut scratch = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(dry.clone()), opts.mode).unwrap();
-        durable_replay(scratch.as_mut(), &data, &archive, log, &opts).unwrap();
-
-        let cut = boundary_after(&dry.snapshot(), 35);
-        let buf = SharedBuf::new();
-        let sink = FaultyWriter::new(
-            buf.clone(),
-            FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-        );
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
-        assert_eq!(run.commits, 35);
-
-        let rec = recover(SystemKind::A, &buf.snapshot(), &run.checkpoints, &tuning).unwrap();
-        assert_eq!(rec.report.checkpoint_seq, 32);
-        assert_eq!(rec.report.replayed, 3, "records 33..=35, each exactly once");
-        assert_eq!(rec.report.commits, 35);
-        let (oracle, oracle_ids) =
-            oracle_replay(SystemKind::A, &data, &archive, 35, &opts, &tuning).unwrap();
-        assert_eq!(
-            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
-            canonical_state(oracle.as_ref(), &oracle_ids).unwrap()
-        );
-    }
-
-    /// A structurally valid record whose transaction cannot apply (here:
-    /// an overwrite of a key the state never held) must truncate replay at
-    /// its boundary — everything before it recovers, nothing after it is
-    /// half-applied, and the report says why — instead of failing the
-    /// whole recovery and taking every previously committed transaction
-    /// down with it.
+    /// A structurally valid record whose transaction cannot apply must
+    /// truncate replay at its boundary — everything before it recovers,
+    /// nothing after it is half-applied, and the report says why — instead
+    /// of failing (or panicking) the whole recovery and taking every
+    /// previously committed transaction down with it. Three poisons: an
+    /// overwrite of a key the state never held, an op naming a table that
+    /// does not exist, and an update of an existing key at a column past
+    /// the table's arity. The last two are decoded bytes no checksum
+    /// vouches for semantically, so they must be range-checked, not
+    /// indexed.
     #[test]
     fn unreplayable_record_truncates_replay_instead_of_failing() {
-        use bitempo_core::{AppDate, Key, Period};
+        use bitempo_core::{AppDate, Key, Period, Value};
         use bitempo_engine::testutil::{bitemp_table, simple_row};
-        use bitempo_histgen::{Op, Transaction};
+        use bitempo_histgen::Op;
 
         let mut engine = build_engine(SystemKind::A);
         let t = engine.create_table(bitemp_table("t")).unwrap();
@@ -663,57 +321,76 @@ mod tests {
             .unwrap()
             .encode();
 
-        let insert = |id: i64| Transaction {
+        let txn = |op: Op| Transaction {
             scenarios: Vec::new(),
-            ops: vec![Op::Insert {
+            ops: vec![op],
+        };
+        let insert = |id: i64| {
+            txn(Op::Insert {
                 table: 0,
                 row: simple_row(id, id * 10),
                 app: None,
-            }],
+            })
         };
-        let poison = Transaction {
-            scenarios: Vec::new(),
-            ops: vec![Op::OverwriteApp {
+        let poisons = [
+            Op::OverwriteApp {
                 table: 0,
                 key: Key::int(i64::MAX),
                 period: Period::new(AppDate(0), AppDate::MAX),
-            }],
-        };
-        let buf = SharedBuf::new();
-        let mut log = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Strict).unwrap();
-        log.append(&encode_txn(&insert(2)).unwrap()).unwrap();
-        log.append(&encode_txn(&poison).unwrap()).unwrap();
-        log.append(&encode_txn(&insert(3)).unwrap()).unwrap();
-        log.close().unwrap();
+            },
+            Op::Insert {
+                table: 9,
+                row: simple_row(9, 90),
+                app: None,
+            },
+            Op::Update {
+                table: 0,
+                key: Key::int(1),
+                updates: vec![(99, Value::Int(0))],
+                portion: None,
+            },
+        ];
+        for poison in poisons {
+            let label = format!("{poison:?}");
+            let buf = SharedBuf::new();
+            let mut log = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Strict).unwrap();
+            for record in [insert(2), txn(poison), insert(3)] {
+                log.submit(&encode_txn(&record).unwrap()).unwrap();
+            }
+            log.close().unwrap();
 
-        let rec = recover(
-            SystemKind::A,
-            &buf.snapshot(),
-            &[base],
-            &TuningConfig::none(),
-        )
-        .unwrap();
-        assert_eq!(rec.report.replayed, 1, "only the good prefix replays");
-        assert_eq!(rec.report.commits, 1);
-        let reason = rec.report.unreplayable.as_deref().unwrap();
-        assert!(reason.contains("record 2"), "got: {reason}");
-        // The recovered state is exactly the prefix: rows 1 and 2, no
-        // partial residue of the poisoned record, nothing after it.
-        use bitempo_engine::api::{AppSpec, SysSpec};
-        let rows = rec
-            .engine
-            .scan(rec.ids[0], &SysSpec::Current, &AppSpec::All, &[])
-            .unwrap()
-            .rows;
-        let mut keys: Vec<i64> = rows
-            .iter()
-            .map(|r| match r.get(0) {
-                bitempo_core::Value::Int(i) => *i,
-                other => panic!("unexpected key {other:?}"),
-            })
-            .collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![1, 2]);
+            let rec = recover(
+                SystemKind::A,
+                &buf.snapshot(),
+                std::slice::from_ref(&base),
+                &TuningConfig::none(),
+            )
+            .unwrap();
+            assert_eq!(
+                rec.report.replayed, 1,
+                "{label}: only the good prefix replays"
+            );
+            assert_eq!(rec.report.commits, 1, "{label}");
+            let reason = rec.report.unreplayable.as_deref().unwrap();
+            assert!(reason.contains("record 2"), "{label}: got {reason}");
+            // The recovered state is exactly the prefix: rows 1 and 2, no
+            // partial residue of the poisoned record, nothing after it.
+            use bitempo_engine::api::{AppSpec, SysSpec};
+            let rows = rec
+                .engine
+                .scan(rec.ids[0], &SysSpec::Current, &AppSpec::All, &[])
+                .unwrap()
+                .rows;
+            let mut keys: Vec<i64> = rows
+                .iter()
+                .map(|r| match r.get(0) {
+                    Value::Int(i) => *i,
+                    other => panic!("unexpected key {other:?}"),
+                })
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(keys, vec![1, 2], "{label}");
+        }
     }
 
     #[test]

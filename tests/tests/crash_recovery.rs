@@ -4,8 +4,12 @@
 //! stream, recovery from the surviving bytes plus the captured checkpoints
 //! rebuilds an engine whose state is equivalent to an uncrashed oracle that
 //! replayed exactly the recovered prefix — on every engine, under both
-//! durability modes that acknowledge before the end of the run. Equivalence
-//! is asserted twice per cell: full canonical state (every version of every
+//! durability modes that acknowledge before the end of the run. Every log
+//! here is written the way production writes it: archive transactions
+//! committed one by one through a `TxnManager` (apply, then log), with
+//! checkpoints from `TxnManager::checkpoint`. The oracle is a plain
+//! `loader::replay` of the prefix, with no log at all. Equivalence is
+//! asserted twice per cell: full canonical state (every version of every
 //! table) and the five-class query probe from `bitempo_workloads::suite`.
 //!
 //! The torn-tail fuzz below is satellite coverage for the byte layer: a log
@@ -14,15 +18,14 @@
 //! the exact clean prefix or a clean truncation report.
 
 use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
-use bitempo_core::Pcg32;
+use bitempo_core::{Pcg32, TableId};
 use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::TuningConfig;
-use bitempo_engine::{build_engine, SystemKind};
-use bitempo_histgen::{generate_history, Archive, HistoryConfig};
+use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
+use bitempo_histgen::{generate_history, load_initial, loader, Archive, HistoryConfig};
 use bitempo_storage::wal::{self, DurabilityMode, WAL_HEADER_LEN};
-use bitempo_wal::{
-    canonical_state, durable_replay, oracle_replay, recover, DurableOptions, SharedBuf, TxnWal,
-};
+use bitempo_txn::{replay_logged, LoggedReplay, TxnManager};
+use bitempo_wal::{canonical_state, recover, SharedBuf, TxnWal, WalSink};
 use bitempo_workloads::{five_class_answers, five_class_diff, Ctx, QueryParams};
 use std::sync::OnceLock;
 
@@ -49,6 +52,65 @@ fn world() -> &'static (TpchData, Archive) {
     })
 }
 
+/// Loads version 0 into a fresh `kind` engine and replays the whole
+/// archive through a `TxnManager` logging to `sink` under `mode`. Returns
+/// the run and the still-open manager; the caller closes it.
+fn logged_run(
+    kind: SystemKind,
+    sink: Box<dyn WalSink>,
+    mode: DurabilityMode,
+    checkpoint_every: u64,
+) -> (LoggedReplay, TxnManager) {
+    let (data, archive) = world();
+    let mut engine = build_engine(kind);
+    let ids = load_initial(engine.as_mut(), data).unwrap();
+    let wal = TxnWal::create(sink, mode).unwrap();
+    let mgr = TxnManager::new(engine, ids, Some(wal)).unwrap();
+    let run = replay_logged(&mgr, &archive.transactions, checkpoint_every)
+        .unwrap_or_else(|e| panic!("{kind}/{}: replay errored hard: {e}", mode.label()));
+    (run, mgr)
+}
+
+/// [`logged_run`] on a sink that fails once `cut` bytes are written: the
+/// simulated crash. Returns the run and the surviving log bytes.
+fn crashed_run(
+    kind: SystemKind,
+    mode: DurabilityMode,
+    checkpoint_every: u64,
+    cut: u64,
+) -> (LoggedReplay, Vec<u8>) {
+    let buf = SharedBuf::new();
+    let sink = FaultyWriter::new(
+        buf.clone(),
+        FaultPlan::none().with(FaultKind::TruncateAt(cut)),
+    );
+    let (run, mgr) = logged_run(kind, Box::new(sink), mode, checkpoint_every);
+    // The sink is dead, so closing reports the failure; only the bytes
+    // that made it out matter to recovery.
+    let _ = mgr.close();
+    (run, buf.snapshot())
+}
+
+/// The uncrashed oracle: version 0 plus a plain `loader::replay` of the
+/// first `commits` archive transactions, tuned like a recovered engine.
+fn replay_prefix(
+    kind: SystemKind,
+    commits: u64,
+    tuning: &TuningConfig,
+) -> (Box<dyn BitemporalEngine>, Vec<TableId>) {
+    let (data, archive) = world();
+    let prefix = Archive {
+        transactions: archive.transactions[..commits as usize].to_vec(),
+        ..archive.clone()
+    };
+    let mut engine = build_engine(kind);
+    let ids = load_initial(engine.as_mut(), data).unwrap();
+    loader::replay(engine.as_mut(), &ids, &prefix, 1).unwrap();
+    engine.apply_tuning(tuning).unwrap();
+    engine.checkpoint();
+    (engine, ids)
+}
+
 /// A clean (uncrashed, strict-mode) run on System A: the full log bytes,
 /// the captured checkpoints, and the commit count. The WAL bytes are
 /// engine-independent (they encode archive transactions, not engine
@@ -56,16 +118,15 @@ fn world() -> &'static (TpchData, Archive) {
 fn clean_log() -> &'static (Vec<u8>, Vec<Vec<u8>>, u64) {
     static CLEAN: OnceLock<(Vec<u8>, Vec<Vec<u8>>, u64)> = OnceLock::new();
     CLEAN.get_or_init(|| {
-        let (data, archive) = world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: CHECKPOINT_EVERY,
-        };
         let buf = SharedBuf::new();
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(buf.clone()), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), data, archive, log, &opts).unwrap();
+        let (run, mgr) = logged_run(
+            SystemKind::A,
+            Box::new(buf.clone()),
+            DurabilityMode::Strict,
+            CHECKPOINT_EVERY,
+        );
         assert!(run.crashed.is_none());
+        mgr.close().unwrap();
         (buf.snapshot(), run.checkpoints, run.commits)
     })
 }
@@ -76,33 +137,20 @@ fn clean_log() -> &'static (Vec<u8>, Vec<Vec<u8>>, u64) {
 /// zero skipped operations.
 #[test]
 fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
-    let (data, archive) = world();
     let tuning = TuningConfig::none().with_workers(1);
     let clean_len = clean_log().0.len() as u64;
     let mut rng = Pcg32::new(0xC4A5_4B17, 0xD0);
     for kind in SystemKind::ALL {
         for mode in [DurabilityMode::Strict, DurabilityMode::Batched(5)] {
-            let opts = DurableOptions {
-                mode,
-                checkpoint_every: CHECKPOINT_EVERY,
-            };
             for _ in 0..2 {
                 // Crash strictly inside the record stream, past the header.
                 let cut = rng.int_range(WAL_HEADER_LEN as i64 + 1, clean_len as i64 - 1) as u64;
                 let label = format!("{kind}/{}/cut={cut}", mode.label());
 
-                let buf = SharedBuf::new();
-                let sink = FaultyWriter::new(
-                    buf.clone(),
-                    FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-                );
-                let mut engine = build_engine(kind);
-                let log = TxnWal::create(Box::new(sink), mode).unwrap();
-                let run = durable_replay(engine.as_mut(), data, archive, log, &opts)
-                    .unwrap_or_else(|e| panic!("{label}: replay errored hard: {e}"));
+                let (run, bytes) = crashed_run(kind, mode, CHECKPOINT_EVERY, cut);
                 assert!(run.crashed.is_some(), "{label}: the cut must fire");
 
-                let rec = recover(kind, &buf.snapshot(), &run.checkpoints, &tuning)
+                let rec = recover(kind, &bytes, &run.checkpoints, &tuning)
                     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
                 if mode == DurabilityMode::Strict {
                     // Strict acknowledges only durable commits, so recovery
@@ -121,8 +169,7 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
                     "{label}: replay skipped records"
                 );
 
-                let (oracle, oracle_ids) =
-                    oracle_replay(kind, data, archive, rec.report.commits, &opts, &tuning).unwrap();
+                let (oracle, oracle_ids) = replay_prefix(kind, rec.report.commits, &tuning);
                 assert_eq!(
                     canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
                     canonical_state(oracle.as_ref(), &oracle_ids).unwrap(),
@@ -235,4 +282,126 @@ fn seeded_bit_flips_never_panic_and_salvage_a_true_prefix() {
             "{label}: replay skipped records"
         );
     }
+}
+
+/// A clean run recovers from its newest checkpoint plus the WAL tail to
+/// exactly the served engine's state.
+#[test]
+fn clean_run_recovers_identically() {
+    let (_, archive) = world();
+    let tuning = TuningConfig::none().with_workers(1);
+    let buf = SharedBuf::new();
+    let (run, mgr) = logged_run(
+        SystemKind::A,
+        Box::new(buf.clone()),
+        DurabilityMode::Strict,
+        50,
+    );
+    assert!(run.crashed.is_none());
+    assert_eq!(run.commits, archive.transactions.len() as u64);
+    assert_eq!(run.checkpoints.len(), 1 + (run.commits / 50) as usize);
+    let (engine, ids, durable_seq) = mgr.close().unwrap();
+    assert_eq!(durable_seq, run.commits);
+
+    let rec = recover(SystemKind::A, &buf.snapshot(), &run.checkpoints, &tuning).unwrap();
+    assert!(rec.report.torn.is_none());
+    assert_eq!(rec.report.commits, run.commits);
+    assert!(rec.report.checkpoint_seq >= 50, "used a late checkpoint");
+    assert_eq!(
+        canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+        canonical_state(engine.as_ref(), &ids).unwrap()
+    );
+}
+
+#[test]
+fn corrupt_newest_checkpoint_falls_back_to_an_older_one() {
+    let tuning = TuningConfig::none().with_workers(1);
+    let buf = SharedBuf::new();
+    let (run, mgr) = logged_run(
+        SystemKind::A,
+        Box::new(buf.clone()),
+        DurabilityMode::Async,
+        40,
+    );
+    assert!(run.checkpoints.len() >= 3, "need checkpoints to corrupt");
+    let (engine, ids, _) = mgr.close().unwrap();
+
+    let mut checkpoints = run.checkpoints.clone();
+    let last = checkpoints.len() - 1;
+    let mid = checkpoints[last].len() / 2;
+    checkpoints[last][mid] ^= 0xFF;
+
+    let rec = recover(SystemKind::A, &buf.snapshot(), &checkpoints, &tuning).unwrap();
+    assert_eq!(rec.report.checkpoints_rejected, 1);
+    assert_eq!(rec.report.commits, run.commits, "the WAL covers the gap");
+    assert_eq!(
+        canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+        canonical_state(engine.as_ref(), &ids).unwrap()
+    );
+}
+
+/// Byte offset of the exact frame boundary after record `k` of a clean
+/// run's WAL bytes. Frames are deterministic given the payload sequence,
+/// so re-encoding the scanned payloads reproduces the sizes.
+fn boundary_after(clean_wal: &[u8], k: usize) -> u64 {
+    let scan = wal::scan(clean_wal);
+    assert!(scan.is_clean() && scan.records.len() > k);
+    let mut appender = wal::WalAppender::new();
+    let mut off = wal::header_bytes().len() as u64;
+    for rec in &scan.records[..k] {
+        let (_, frame) = appender.encode(&rec.payload);
+        off += frame.len() as u64;
+    }
+    off
+}
+
+/// The checkpoint/WAL boundary: a crash *exactly* at the frame boundary
+/// after the checkpointed commit must recover precisely that commit count
+/// — the checkpointed transaction is neither dropped (off-by-one toward
+/// the past) nor replayed twice (checkpoint label drifting below the WAL
+/// seq it actually covers).
+#[test]
+fn crash_exactly_on_the_checkpoint_boundary() {
+    let tuning = TuningConfig::none().with_workers(1);
+
+    // Cut at the boundary right after record 32 — the same commit the
+    // cadence checkpoints — and two bytes into record 33 (torn tail).
+    // Checkpoints write no WAL records, so the clean log sizes the cuts.
+    for extra in [0u64, 2] {
+        let cut = boundary_after(&clean_log().0, 32) + extra;
+        let (run, bytes) = crashed_run(SystemKind::A, DurabilityMode::Strict, 32, cut);
+        assert!(run.crashed.is_some());
+        assert_eq!(run.commits, 32, "strict mode stops at the cut");
+
+        let rec = recover(SystemKind::A, &bytes, &run.checkpoints, &tuning).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, 32, "newest checkpoint wins");
+        assert_eq!(rec.report.replayed, 0, "nothing may be replayed twice");
+        assert_eq!(rec.report.commits, 32, "nothing may be dropped");
+        let (oracle, oracle_ids) = replay_prefix(SystemKind::A, 32, &tuning);
+        assert_eq!(
+            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+            canonical_state(oracle.as_ref(), &oracle_ids).unwrap()
+        );
+    }
+}
+
+/// A crash a few commits past a checkpoint replays exactly the records
+/// after the checkpoint's recorded seq — the straddling transaction is
+/// covered by the checkpoint, not double-applied from the WAL.
+#[test]
+fn recovery_replays_only_records_past_the_checkpoint_seq() {
+    let tuning = TuningConfig::none().with_workers(1);
+    let cut = boundary_after(&clean_log().0, 35);
+    let (run, bytes) = crashed_run(SystemKind::A, DurabilityMode::Strict, 32, cut);
+    assert_eq!(run.commits, 35);
+
+    let rec = recover(SystemKind::A, &bytes, &run.checkpoints, &tuning).unwrap();
+    assert_eq!(rec.report.checkpoint_seq, 32);
+    assert_eq!(rec.report.replayed, 3, "records 33..=35, each exactly once");
+    assert_eq!(rec.report.commits, 35);
+    let (oracle, oracle_ids) = replay_prefix(SystemKind::A, 35, &tuning);
+    assert_eq!(
+        canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+        canonical_state(oracle.as_ref(), &oracle_ids).unwrap()
+    );
 }
