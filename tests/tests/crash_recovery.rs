@@ -152,15 +152,9 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
 
                 let rec = recover(kind, &bytes, &run.checkpoints, &tuning)
                     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
-                if mode == DurabilityMode::Strict {
-                    // Strict acknowledges only durable commits, so recovery
-                    // must restore every one of them.
-                    assert_eq!(rec.report.commits, run.commits, "{label}");
-                } else {
-                    // Group commit may lose an acknowledged suffix; never
-                    // more than was committed.
-                    assert!(rec.report.commits <= run.commits, "{label}");
-                }
+                // Both modes acknowledge a commit only after its durability
+                // wait, so recovery must restore every acknowledged commit.
+                assert_eq!(rec.report.commits, run.commits, "{label}");
                 // Zero skips: everything between the checkpoint and the end
                 // of the valid WAL prefix was replayed.
                 assert_eq!(
